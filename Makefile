@@ -43,7 +43,10 @@
 # on a small warm-pool fleet with a whitebox no-pool-sharing probe,
 # priority preemption with bitwise-identical resume (serial and
 # ranks=2 decks), admission-control boundary arithmetic and the
-# streaming metrics endpoint.
+# streaming metrics endpoint. It also races the shared-setup layer the
+# daemon leans on: the setup intern table's lifecycle suite, repeated
+# runs of two concurrent same-shape jobs sharing one mesh, and the
+# deck-suite check that no run writes the shared mesh or fields.
 # tier2-durable races the durability layer: the restart-recovery
 # matrix (crash mid-run after a periodic spill, crash with queued
 # work, graceful-shutdown park — serial and ranks=2, all bitwise
@@ -119,6 +122,9 @@ tier2-order:
 
 tier2-serve:
 	$(GO) test -race ./internal/serve -count=1
+	$(GO) test -race ./internal/setup -count=1
+	$(GO) test -race ./internal/serve -run 'ConcurrentSameShape' -count=3
+	$(GO) test -race . -run 'SharedSetup' -count=1
 
 tier2-durable:
 	$(GO) test -race ./internal/serve -run 'Durable|Quota|FairOrdering|BadClient|TerminalJobPins|WatchHostile|DoneStatus|CalibratorStateRestore' -count=1

@@ -462,7 +462,11 @@ type Result struct {
 	U, V        []float64
 	X, Y        []float64
 
-	// Mesh is the global problem mesh (initial coordinates).
+	// Mesh is the global problem mesh (initial coordinates) in
+	// canonical order. It is read-only and shared: every run and result
+	// of the same deck shape points at one mesh while any of them is
+	// alive (setup.ByName), so a caller that needs to modify it works on
+	// Mesh.Clone().
 	Mesh *mesh.Mesh
 
 	// Conservation audit.

@@ -21,7 +21,7 @@
 // Usage:
 //
 //	go test -bench 'BenchmarkLagrangianStep' -benchmem -count=5 . | bleaf-bench -o BENCH_step.json
-//	bleaf-bench -compare old.json new.json          # exit 1 on regression
+//	bleaf-bench -compare old.json new.json          # exit 1 on regression, 2 on error
 //
 // With -merge, entries already present in the -o file are loaded first
 // and the new results overlaid on top (same name → replaced, new name →
@@ -34,7 +34,8 @@
 // name whose ns/op grew by more than -threshold (fraction, default
 // 0.05) or whose allocs/op grew at all is a regression, and any
 // regression makes the exit status 1 — `make bench-compare` wires this
-// as the perf gate against the committed BENCH_step.json.
+// as the perf gate against the committed BENCH_step.json. Records from
+// hosts with different CPU counts are refused with exit status 2.
 //
 // Names are recorded exactly as go test emits them (including any
 // GOMAXPROCS suffix): stripping the "-N" suffix would collide with
@@ -255,6 +256,12 @@ func mergePrevious(path string, entries map[string]*Entry) error {
 // (fractional) or whose allocs/op grew at all. Benchmarks present in
 // only one record are listed but never count as regressions — axes
 // come and go as the suite evolves.
+//
+// Records taken on hosts with different CPU counts are refused: the
+// threads and ranks axes measure the core count as much as the code,
+// so a diff across hosts says nothing about a change. A record with
+// no env (num_cpu 0, the legacy schema) cannot be checked; it is
+// compared with a warning.
 func compareRecords(w io.Writer, oldPath, newPath string, threshold float64) (int, error) {
 	oldRec, err := loadRecord(oldPath)
 	if err != nil {
@@ -263,6 +270,14 @@ func compareRecords(w io.Writer, oldPath, newPath string, threshold float64) (in
 	newRec, err := loadRecord(newPath)
 	if err != nil {
 		return 0, err
+	}
+	oc, nc := oldRec.Env.NumCPU, newRec.Env.NumCPU
+	switch {
+	case oc > 0 && nc > 0 && oc != nc:
+		return 0, fmt.Errorf("%s was recorded with num_cpu %d and %s with num_cpu %d: records from different hosts are not comparable; re-record the baseline on this host (make bench)",
+			oldPath, oc, newPath, nc)
+	case oc == 0 || nc == 0:
+		fmt.Fprintf(w, "warning: a record carries no host env (num_cpu %d vs %d); comparing without the host check\n", oc, nc)
 	}
 	names := make([]string, 0, len(newRec.Benchmarks))
 	for n := range newRec.Benchmarks {

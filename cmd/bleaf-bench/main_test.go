@@ -344,3 +344,46 @@ BenchmarkStepGrid/reorder=hilbert/layout=aos-8  100   300000 ns/op    82.3 ns/el
 		t.Fatalf("headline drifted: %g vs %g", headline(second), headline(first))
 	}
 }
+
+// Records from hosts with different CPU counts are refused with an
+// error naming both counts; a legacy record without env still compares,
+// with a warning.
+func TestCompareRefusesHostMismatch(t *testing.T) {
+	dir := t.TempDir()
+	one := filepath.Join(dir, "one.json")
+	two := filepath.Join(dir, "two.json")
+	legacy := filepath.Join(dir, "legacy.json")
+	entries := map[string]*Entry{"BenchmarkA": {NsOp: 1000, Runs: 5}}
+	writeRecord(t, one, Record{Env: Env{NumCPU: 1, GOMAXPROCS: 1}, Benchmarks: entries})
+	writeRecord(t, two, Record{Env: Env{NumCPU: 2, GOMAXPROCS: 2}, Benchmarks: entries})
+	if err := os.WriteFile(legacy, []byte(`{"BenchmarkA": {"ns_op": 1000, "runs": 5}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	_, err := compareRecords(&buf, one, two, 0.05)
+	if err == nil {
+		t.Fatalf("cross-host compare accepted:\n%s", buf.String())
+	}
+	for _, want := range []string{"num_cpu 1", "num_cpu 2", "not comparable"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
+	}
+
+	for _, pair := range [][2]string{{legacy, two}, {two, legacy}} {
+		buf.Reset()
+		n, err := compareRecords(&buf, pair[0], pair[1], 0.05)
+		if err != nil || n != 0 {
+			t.Fatalf("legacy compare %v: %d regressions, err %v", pair, n, err)
+		}
+		if !strings.Contains(buf.String(), "warning") {
+			t.Fatalf("legacy compare %v gave no warning:\n%s", pair, buf.String())
+		}
+	}
+
+	buf.Reset()
+	if n, err := compareRecords(&buf, two, two, 0.05); err != nil || n != 0 || strings.Contains(buf.String(), "warning") {
+		t.Fatalf("same-host compare: %d regressions, err %v\n%s", n, err, buf.String())
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"bookleaf"
 	"bookleaf/internal/config"
 	"bookleaf/internal/machine"
+	"bookleaf/internal/mesh"
 	"bookleaf/internal/par"
 )
 
@@ -709,5 +710,112 @@ func TestServeStatusEndpoint(t *testing.T) {
 	}
 	if st.Workers != 3 || st.FreeWorkers != 3 {
 		t.Fatalf("stats wrong: %+v", st)
+	}
+}
+
+// TestConcurrentSameShapeShared: two jobs of one deck shape running at
+// once on a 2-worker fleet share the shape's setup (setup.ByName
+// interning) yet each produces the direct run's floats bit for bit.
+// Under -race this is the check that no run writes the shared mesh or
+// initial fields.
+func TestConcurrentSameShapeShared(t *testing.T) {
+	deck := readRepoDeck(t, "sod.deck") + "maxsteps = 150\n"
+	want := directRun(t, deck)
+	s, ts := newTestServer(t, Options{Workers: 2, Threads: 1})
+	ids := make([]string, 2)
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ids[i] = submitDeck(t, ts, deck, 0).ID
+		}(i)
+	}
+	wg.Wait()
+	var meshes []*mesh.Mesh
+	for _, id := range ids {
+		jr := waitState(t, ts, id, StateDone)
+		assertFieldsBitwise(t, jr.Result, want)
+		j, ok := s.Get(id)
+		if !ok {
+			t.Fatalf("job %s not retained", id)
+		}
+		meshes = append(meshes, s.Result(j).Mesh)
+	}
+	if meshes[0] != meshes[1] || meshes[0] != want.Mesh {
+		t.Fatal("jobs of one live shape did not share its mesh")
+	}
+}
+
+// TestRetainedStats: /v1/status reports how many terminal jobs the
+// retention FIFO holds and the bytes their result arrays pin, and both
+// agree with what GET actually serves after older jobs have evicted.
+func TestRetainedStats(t *testing.T) {
+	const keep = 3
+	_, ts := newTestServer(t, Options{Workers: 1, Threads: 1, MaxTerminalJobs: keep})
+	var ids []string
+	// Distinct shapes so the byte total is not a multiple of one size.
+	for i := 0; i < keep+2; i++ {
+		deck := fmt.Sprintf("[control]\nproblem = sod\nnx = %d\nny = %d\nmaxsteps = 5\n", 20+4*i, 2+i%2)
+		id := submitDeck(t, ts, deck, 0).ID
+		waitState(t, ts, id, StateDone)
+		ids = append(ids, id)
+	}
+	// A canceled job is retained too, with no result arrays.
+	long := submitDeck(t, ts, "[control]\nproblem = noh\nnx = 50\nny = 50\ntend = 0.6\n", 0).ID
+	waitState(t, ts, long, StateRunning)
+	req, _ := http.NewRequest("DELETE", ts.URL+"/v1/jobs/"+long, nil)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	for deadline := time.Now().Add(60 * time.Second); getJob(t, ts, long).State != StateCanceled; {
+		if time.Now().After(deadline) {
+			t.Fatal("job not canceled")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	ids = append(ids, long)
+
+	retained, bytes := 0, int64(0)
+	for _, id := range ids {
+		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jr JobResponse
+		err = json.NewDecoder(resp.Body).Decode(&jr)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusNotFound {
+			continue
+		}
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("get %s: status %d (%v)", id, resp.StatusCode, err)
+		}
+		retained++
+		if r := jr.Result; r != nil {
+			n := len(r.X) + len(r.Y) + len(r.Rho) + len(r.P) + len(r.Ein) + len(r.U) + len(r.V)
+			bytes += 8 * int64(n)
+		}
+	}
+	if retained != keep {
+		t.Fatalf("GET serves %d of %d jobs, want the %d retained", retained, len(ids), keep)
+	}
+	resp, err = ts.Client().Get(ts.URL + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.RetainedJobs != retained || st.RetainedResultBytes != bytes {
+		t.Fatalf("status reports %d jobs / %d bytes retained, GET serves %d / %d",
+			st.RetainedJobs, st.RetainedResultBytes, retained, bytes)
+	}
+	if bytes == 0 {
+		t.Fatal("no result arrays retained")
 	}
 }

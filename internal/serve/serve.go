@@ -929,6 +929,14 @@ type Stats struct {
 	// ClientBacklog is each client's admitted-but-unfinished predicted
 	// seconds — the quantity the per-client quota gates on.
 	ClientBacklog map[string]float64 `json:"client_backlog,omitempty"`
+	// RetainedJobs is the number of terminal jobs still addressable in
+	// the retention FIFO (at most Options.MaxTerminalJobs).
+	RetainedJobs int `json:"retained_jobs"`
+	// RetainedResultBytes is the memory those jobs pin in result field
+	// arrays: 8 bytes per element of the seven arrays (x, y, rho, p,
+	// ein, u, v) of every retained done job. Their meshes are not
+	// counted: jobs of one live deck shape share a single mesh.
+	RetainedResultBytes int64 `json:"retained_result_bytes"`
 }
 
 // Stats snapshots the scheduler.
@@ -946,6 +954,14 @@ func (s *Server) Stats() Stats {
 		Queued: len(s.queue), Running: running,
 		Backlog: s.backlog, BudgetSeconds: s.opt.BudgetSeconds,
 		CalibrationScale: 1,
+		RetainedJobs:     len(s.terminal),
+	}
+	for _, id := range s.terminal {
+		if j := s.jobs[id]; j != nil && j.state == StateDone && j.result != nil {
+			r := j.result
+			n := len(r.X) + len(r.Y) + len(r.Rho) + len(r.P) + len(r.Ein) + len(r.U) + len(r.V)
+			st.RetainedResultBytes += 8 * int64(n)
+		}
 	}
 	if s.cal != nil {
 		st.CalibrationScale = s.cal.Scale()
@@ -1197,8 +1213,9 @@ func (s *Server) legDone(j *Job, res *bookleaf.Result, err error, wall float64) 
 // admission estimate leaves the backlog, waiters unblock, and the job
 // joins the retention FIFO. Retention is what bounds the daemon's
 // memory under sustained traffic — a done job pins seven result field
-// arrays, so only the newest MaxTerminalJobs terminal jobs stay
-// addressable; older ones leave s.jobs entirely and answer 404.
+// arrays (its mesh is the deck shape's shared one), so only the newest
+// MaxTerminalJobs terminal jobs stay addressable; older ones leave
+// s.jobs entirely and answer 404.
 func (s *Server) terminalLocked(j *Job, state string, err error) {
 	j.state = state
 	j.err = err

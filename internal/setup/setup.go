@@ -17,9 +17,17 @@ import (
 // Problem is a fully-specified test case.
 type Problem struct {
 	Name string
+	// Mesh is the canonical problem mesh. It is read-only: ByName
+	// shares one mesh among every problem of the same shape (see
+	// intern.go), so a caller that needs to move or renumber nodes in
+	// place works on Mesh.Clone(). Replacing the pointer (as the
+	// reorder pass does) is fine; the Problem struct itself is the
+	// caller's own.
 	Mesh *mesh.Mesh
 	Opt  hydro.Options
-	// Initial per-element fields.
+	// Rho and Ein are the initial per-element fields in canonical
+	// element order. Like Mesh they are shared across problems of one
+	// shape and read-only; hydro.NewState copies them into the state.
 	Rho, Ein []float64
 	// InitVel gives the initial nodal velocity field (nil = at rest).
 	InitVel func(x, y float64) (u, v float64)
@@ -376,27 +384,46 @@ func WaterAir(nx, ny int) (*Problem, error) {
 	}, nil
 }
 
-// ByName builds a problem by its deck name with the given resolution.
+// ByName returns a problem by its deck name with the given resolution.
 // Sedov ignores sedovE <= 0 and uses the standard 0.311 (shock radius
-// ~0.75 at t=1).
+// ~0.75 at t=1). While any earlier problem or result of the same shape
+// still holds its mesh, the returned problem shares that mesh and its
+// initial fields instead of rebuilding them (see intern.go); the
+// Problem struct and its Opt are always fresh.
 func ByName(name string, nx, ny int, sedovE float64) (*Problem, error) {
-	switch name {
-	case "sod":
-		return Sod(nx, ny)
-	case "noh":
-		return Noh(nx, ny)
-	case "sedov":
+	k := shapeKey{name: name, nx: nx, ny: ny}
+	if name == "sedov" {
 		if sedovE <= 0 {
 			sedovE = 0.311
 		}
-		return Sedov(nx, ny, sedovE)
+		k.sedovE = sedovE
+	}
+	if p := lookupShape(k); p != nil {
+		return p, nil
+	}
+	p, err := build(k)
+	if err != nil {
+		return nil, err
+	}
+	return internShape(k, p), nil
+}
+
+// build constructs a shape from scratch.
+func build(k shapeKey) (*Problem, error) {
+	switch k.name {
+	case "sod":
+		return Sod(k.nx, k.ny)
+	case "noh":
+		return Noh(k.nx, k.ny)
+	case "sedov":
+		return Sedov(k.nx, k.ny, k.sedovE)
 	case "saltzmann":
-		return Saltzmann(nx, ny)
+		return Saltzmann(k.nx, k.ny)
 	case "waterair":
-		return WaterAir(nx, ny)
+		return WaterAir(k.nx, k.ny)
 	case "nohdisc":
-		return NohDisc(nx)
+		return NohDisc(k.nx)
 	default:
-		return nil, fmt.Errorf("setup: unknown problem %q (want sod, noh, sedov, saltzmann or waterair)", name)
+		return nil, fmt.Errorf("setup: unknown problem %q (want sod, noh, sedov, saltzmann or waterair)", k.name)
 	}
 }
